@@ -6,16 +6,15 @@
  * all banks, in two row patterns:
  *
  *   hits    - consecutive same-bank requests share rows, so service is
- *             row-hit dominated (the per-bank index serves from its
- *             row-hit head);
+ *             row-hit dominated (the window walk stops at the first
+ *             ready row hit);
  *   misses  - every request opens a new row, the worst case for
- *             candidate selection (every bank contributes only its
- *             oldest request).
+ *             candidate selection (the walk covers the whole window
+ *             before settling on the oldest ready request).
  *
- * The round-robin spread across all 64 banks is deliberately the queue
- * index's adversarial shape (bank count >= scan window), exercising the
- * hybrid dispatch's linear path; the DAPPER attack benches cover the
- * concentrated shapes where the per-bank index path wins.
+ * The round-robin spread across all 64 banks (bank count >= scan
+ * window) makes every window entry hit a different bank's timing-cache
+ * slot; the DAPPER attack benches cover the concentrated shapes.
  *
  * The printed stats are engine-invariant: --engine event advances the
  * controller by its nextWorkAt() watermark, --engine tick visits every

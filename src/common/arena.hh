@@ -4,14 +4,14 @@
  * paths, replacing node- and block-allocating standard containers so
  * the steady state performs no heap traffic at all:
  *
- *  - RingDeque<T>: a bounded deque over one contiguous ring buffer.
- *    Drop-in for the std::deque operations the memory-controller
- *    request queues use (push_back / push_front / random access /
- *    random-access iterators / middle erase). Capacity is fixed at
- *    construction — the controller already enforces the queue caps —
- *    so elements never move between blocks and nothing allocates
- *    after construction. erase() shifts whichever side of the hole is
- *    shorter, preserving order exactly like std::deque::erase.
+ *  - RingDeque<T>: a bounded deque over one contiguous ring buffer,
+ *    covering the operations the memory-controller request queues use
+ *    (push_back / push_front / random access / middle erase by index).
+ *    Capacity is fixed at construction — the controller already
+ *    enforces the queue caps — so elements never move between blocks
+ *    and nothing allocates after construction. erase() shifts
+ *    whichever side of the hole is shorter, preserving order exactly
+ *    like std::deque::erase.
  *
  *  - FreeListArena<T>: an index-addressed object pool with an
  *    intrusive free list. alloc() returns a stable std::int32_t handle
@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -51,16 +50,12 @@ class RingDeque
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return mask_ + 1; }
 
     T &operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
     const T &operator[](std::size_t i) const
     {
         return buf_[(head_ + i) & mask_];
     }
-
-    T &front() { return (*this)[0]; }
-    T &back() { return (*this)[size_ - 1]; }
 
     void
     push_back(const T &v)
@@ -79,103 +74,11 @@ class RingDeque
         ++size_;
     }
 
+    /** Remove the element at index @p i; order is preserved (the
+     *  shorter side of the hole is shifted), as std::deque::erase. */
     void
-    pop_front()
+    erase(std::size_t i)
     {
-        head_ = (head_ + 1) & mask_;
-        --size_;
-    }
-
-    class iterator
-    {
-      public:
-        using iterator_category = std::random_access_iterator_tag;
-        using value_type = T;
-        using difference_type = std::ptrdiff_t;
-        using pointer = T *;
-        using reference = T &;
-
-        iterator() = default;
-        iterator(RingDeque *d, std::size_t i) : d_(d), i_(i) {}
-
-        reference operator*() const { return (*d_)[i_]; }
-        pointer operator->() const { return &(*d_)[i_]; }
-        reference operator[](difference_type n) const
-        {
-            return (*d_)[i_ + static_cast<std::size_t>(n)];
-        }
-
-        iterator &operator++() { ++i_; return *this; }
-        iterator operator++(int) { iterator t = *this; ++i_; return t; }
-        iterator &operator--() { --i_; return *this; }
-        iterator operator--(int) { iterator t = *this; --i_; return t; }
-        iterator &operator+=(difference_type n)
-        {
-            i_ = static_cast<std::size_t>(
-                static_cast<difference_type>(i_) + n);
-            return *this;
-        }
-        iterator &operator-=(difference_type n) { return *this += -n; }
-        friend iterator operator+(iterator it, difference_type n)
-        {
-            return it += n;
-        }
-        friend iterator operator+(difference_type n, iterator it)
-        {
-            return it += n;
-        }
-        friend iterator operator-(iterator it, difference_type n)
-        {
-            return it -= n;
-        }
-        friend difference_type
-        operator-(const iterator &a, const iterator &b)
-        {
-            return static_cast<difference_type>(a.i_) -
-                   static_cast<difference_type>(b.i_);
-        }
-        friend bool operator==(const iterator &a, const iterator &b)
-        {
-            return a.i_ == b.i_;
-        }
-        friend bool operator!=(const iterator &a, const iterator &b)
-        {
-            return a.i_ != b.i_;
-        }
-        friend bool operator<(const iterator &a, const iterator &b)
-        {
-            return a.i_ < b.i_;
-        }
-        friend bool operator>(const iterator &a, const iterator &b)
-        {
-            return a.i_ > b.i_;
-        }
-        friend bool operator<=(const iterator &a, const iterator &b)
-        {
-            return a.i_ <= b.i_;
-        }
-        friend bool operator>=(const iterator &a, const iterator &b)
-        {
-            return a.i_ >= b.i_;
-        }
-
-        std::size_t index() const { return i_; }
-
-      private:
-        RingDeque *d_ = nullptr;
-        std::size_t i_ = 0;
-    };
-
-    iterator begin() { return iterator(this, 0); }
-    iterator end() { return iterator(this, size_); }
-
-    /** Remove the element at @p pos; order is preserved (the shorter
-     *  side of the hole is shifted). Returns the iterator following
-     *  the erased element, as std::deque::erase does. */
-    iterator
-    erase(iterator pos)
-    {
-        const std::size_t i = pos.index();
         if (i < size_ - 1 - i) {
             for (std::size_t j = i; j > 0; --j)
                 (*this)[j] = std::move((*this)[j - 1]);
@@ -185,7 +88,6 @@ class RingDeque
                 (*this)[j] = std::move((*this)[j + 1]);
         }
         --size_;
-        return iterator(this, i);
     }
 
   private:

@@ -3,14 +3,17 @@
  * Memory controller timing tests: row-hit vs row-miss latency, tRC /
  * tRRD pacing, refresh blocking, mitigation blocking windows (VRR,
  * RFMsb/DRFMsb granularity, bulk resets), counter-traffic priority,
- * write drain, and FR-FCFS ordering invariants of the per-bank queue
- * index — including a randomized stress that cross-checks the index
- * pick against a brute-force windowed linear scan (auditQueues).
+ * write drain, the BlockHammer-style throttle re-queue, and FR-FCFS
+ * ordering invariants — including randomized stresses (with and
+ * without throttling) that cross-check the cache-backed pick against a
+ * brute-force windowed linear scan (auditQueues).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/mem/controller.hh"
@@ -26,6 +29,51 @@ struct CaptureSink : MemSink
     {
         done.emplace_back(now, req);
     }
+};
+
+/**
+ * BlockHammer-shaped tracker stub: an ACT to a blacklisted row may
+ * issue no earlier than @c gap ticks after that row's previous ACT (a
+ * first ACT counts from tick 0).
+ */
+struct ThrottleStub : Tracker
+{
+    ThrottleStub(Tick gapTicks, bool (*isBlacklisted)(const ActEvent &))
+        : gap(gapTicks), blacklisted(isBlacklisted)
+    {
+    }
+
+    static std::uint64_t
+    key(const ActEvent &e)
+    {
+        return (static_cast<std::uint64_t>(e.rank) << 48) |
+               (static_cast<std::uint64_t>(e.bank) << 32) |
+               static_cast<std::uint32_t>(e.row);
+    }
+
+    Tick
+    throttleUntil(const ActEvent &e) override
+    {
+        ++throttleCalls;
+        if (!blacklisted(e))
+            return 0;
+        const auto it = lastAct.find(key(e));
+        return (it == lastAct.end() ? 0 : it->second) + gap;
+    }
+
+    void
+    onActivation(const ActEvent &e, MitigationVec &) override
+    {
+        lastAct[key(e)] = e.now;
+    }
+
+    StorageEstimate storage() const override { return {}; }
+    std::string name() const override { return "throttle-stub"; }
+
+    Tick gap;
+    bool (*blacklisted)(const ActEvent &);
+    std::map<std::uint64_t, Tick> lastAct;
+    std::uint64_t throttleCalls = 0;
 };
 
 class ControllerTest : public ::testing::Test
@@ -48,6 +96,65 @@ class ControllerTest : public ::testing::Test
     {
         for (; now_ < end; ++now_)
             mc_.tick(now_);
+    }
+
+    /**
+     * Randomized stress: after every controller step the cache-backed
+     * pick must equal a brute-force windowed linear scan recomputed from
+     * raw bank state (auditQueues). Covers deep same-bank queues (past
+     * the 48-entry scan window), bursts across banks, counter traffic,
+     * and mitigation blocking windows.
+     */
+    void
+    runAuditStress()
+    {
+        std::uint64_t rng = 0xDEADBEEFCAFEF00Dull;
+        auto rnd = [&rng](std::uint32_t mod) {
+            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+            return static_cast<std::uint32_t>(rng >> 33) % mod;
+        };
+
+        for (Tick t = 0; t < 60000; ++t) {
+            // Bursty enqueue pressure, sometimes concentrated on one
+            // bank so the queue grows far past the scan window.
+            if (rnd(100) < 35) {
+                const int burst = 1 + static_cast<int>(rnd(6));
+                for (int i = 0; i < burst; ++i) {
+                    Request req;
+                    const bool hotBank = rnd(100) < 40;
+                    const int bankId =
+                        hotBank ? 3 : static_cast<int>(rnd(32));
+                    req.dram = {0, static_cast<int>(rnd(2)), bankId,
+                                static_cast<int>(rnd(8)), 0};
+                    const std::uint32_t kind = rnd(10);
+                    req.type = kind < 6   ? ReqType::Read
+                               : kind < 9 ? ReqType::Write
+                                          : ReqType::CounterRead;
+                    if (req.type == ReqType::Read)
+                        req.sink = &sink_;
+                    mc_.enqueue(req, t); // Full queues may reject: fine.
+                }
+            }
+            if (rnd(1000) < 3)
+                mc_.applyMitigation({Mitigation::Kind::VrrRow, 0,
+                                     static_cast<int>(rnd(2)),
+                                     static_cast<int>(rnd(32)),
+                                     static_cast<int>(rnd(8))},
+                                    t);
+            if (rnd(1000) < 2)
+                mc_.applyMitigation({Mitigation::Kind::RfmSb, 0,
+                                     static_cast<int>(rnd(2)),
+                                     static_cast<int>(rnd(32)),
+                                     static_cast<int>(rnd(8))},
+                                    t);
+            mc_.tick(t);
+            ASSERT_TRUE(mc_.auditQueues(t)) << "divergence at tick " << t;
+        }
+        // The stress must have actually exercised deep queues and
+        // service.
+        EXPECT_GT(mc_.stats().reads + mc_.stats().writes, 500u);
+        EXPECT_GT(mc_.stats().rowHits, 0u);
+        EXPECT_GT(mc_.stats().rowMisses, 0u);
     }
 
     SysConfig cfg_;
@@ -199,7 +306,7 @@ TEST_F(ControllerTest, ReadLatencyReservoirTracksTail)
 }
 
 // ---------------------------------------------------------------------
-// FR-FCFS ordering invariants of the per-bank queue index.
+// FR-FCFS ordering invariants and the throttle re-queue.
 // ---------------------------------------------------------------------
 
 TEST_F(ControllerTest, RowHitPreferredOverOlderMissWithinBank)
@@ -275,63 +382,57 @@ TEST_F(ControllerTest, WriteDrainHysteresisServesWriteBurstFirst)
     EXPECT_EQ(mc_.stats().reads, 4u);
 }
 
-/**
- * Randomized stress: after every controller step the per-bank index
- * must mirror the deques exactly and the index-based pick must equal a
- * brute-force windowed linear scan recomputed from raw bank state.
- * Covers deep same-bank queues (past the 48-entry scan window), bursts
- * across banks, counter traffic, and mitigation blocking windows.
- */
-TEST_F(ControllerTest, IndexMatchesBruteForceReferenceUnderStress)
+TEST_F(ControllerTest, ThrottledRequestRequeuesAtFrontAndIssuesWhenAllowed)
 {
-    std::uint64_t rng = 0xDEADBEEFCAFEF00Dull;
-    auto rnd = [&rng](std::uint32_t mod) {
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<std::uint32_t>(rng >> 33) % mod;
-    };
+    // Row 100 of bank 3 may first activate at tick U. Bank 7 is blocked
+    // by a VRR until the same tick U.
+    const Tick allowedAt = cfg_.vrrTicks();
+    ThrottleStub stub(allowedAt, [](const ActEvent &e) {
+        return e.rank == 0 && e.bank == 3 && e.row == 100;
+    });
+    mc_.setTracker(&stub);
+    mc_.applyMitigation({Mitigation::Kind::VrrRow, 0, 0, 7, 500}, 0);
 
-    for (Tick t = 0; t < 60000; ++t) {
-        // Bursty enqueue pressure, sometimes concentrated on one bank
-        // so the queue grows far past the scan window.
-        if (rnd(100) < 35) {
-            const int burst = 1 + static_cast<int>(rnd(6));
-            for (int i = 0; i < burst; ++i) {
-                Request req;
-                const bool hotBank = rnd(100) < 40;
-                const int bankId =
-                    hotBank ? 3 : static_cast<int>(rnd(32));
-                req.dram = {0, static_cast<int>(rnd(2)), bankId,
-                            static_cast<int>(rnd(8)), 0};
-                const std::uint32_t kind = rnd(10);
-                req.type = kind < 6   ? ReqType::Read
-                           : kind < 9 ? ReqType::Write
-                                      : ReqType::CounterRead;
-                if (req.type == ReqType::Read)
-                    req.sink = &sink_;
-                mc_.enqueue(req, t); // Full queues may reject: fine.
-            }
-        }
-        if (rnd(1000) < 3)
-            mc_.applyMitigation({Mitigation::Kind::VrrRow, 0,
-                                 static_cast<int>(rnd(2)),
-                                 static_cast<int>(rnd(32)),
-                                 static_cast<int>(rnd(8))},
-                                t);
-        if (rnd(1000) < 2)
-            mc_.applyMitigation({Mitigation::Kind::RfmSb, 0,
-                                 static_cast<int>(rnd(2)),
-                                 static_cast<int>(rnd(32)),
-                                 static_cast<int>(rnd(8))},
-                                t);
-        mc_.tick(t);
-        if (t % 7 == 0) {
-            ASSERT_TRUE(mc_.auditQueues(t)) << "divergence at tick " << t;
-        }
-    }
-    // The stress must have actually exercised deep queues and service.
-    EXPECT_GT(mc_.stats().reads + mc_.stats().writes, 500u);
-    EXPECT_GT(mc_.stats().rowHits, 0u);
-    EXPECT_GT(mc_.stats().rowMisses, 0u);
+    // Queue order: X (blocked bank 7), A (throttled row), B (younger,
+    // same bank as A). A is the oldest ready request at tick 0, so it is
+    // picked from the middle of the window and throttled.
+    ASSERT_TRUE(mc_.enqueue(read(0, 7, 50), 0));  // X
+    ASSERT_TRUE(mc_.enqueue(read(0, 3, 100), 0)); // A
+    ASSERT_TRUE(mc_.enqueue(read(0, 3, 200), 0)); // B
+    runTo(1);
+    EXPECT_EQ(mc_.stats().throttledActs, 1u);
+    EXPECT_EQ(mc_.stats().activations, 0u);
+    EXPECT_EQ(mc_.readQueueDepth(), 3u);
+
+    runTo(allowedAt + 4 * cfg_.tRC());
+    ASSERT_EQ(sink_.done.size(), 3u);
+    EXPECT_EQ(mc_.stats().throttledActs, 1u);
+    // At tick U both X and A become ready row misses. A went back to the
+    // deque front, so it is now older than X and issues first; B, the
+    // younger request to A's bank, comes after it.
+    EXPECT_EQ(sink_.done[0].second.dram.row, 100);
+    EXPECT_EQ(sink_.done[1].second.dram.bank, 7);
+    EXPECT_EQ(sink_.done[2].second.dram.row, 200);
+    // A activated no earlier than the allowed tick.
+    EXPECT_GE(sink_.done[0].first,
+              allowedAt + cfg_.tRCD() + cfg_.tCL() + cfg_.tBL());
+    EXPECT_EQ(stub.lastAct.at(ThrottleStub::key(
+                  {0, 0, 3, 100, 0, -1})),
+              allowedAt);
+}
+
+TEST_F(ControllerTest, PickMatchesBruteForceReferenceUnderStress)
+{
+    runAuditStress();
+}
+
+/** The same stress with throttled front re-queues of reads and writes. */
+TEST_F(ControllerTest, PickMatchesBruteForceReferenceUnderThrottleStress)
+{
+    ThrottleStub stub(3000, [](const ActEvent &e) { return e.row % 2 == 1; });
+    mc_.setTracker(&stub);
+    runAuditStress();
+    EXPECT_GT(mc_.stats().throttledActs, 20u);
 }
 
 } // namespace
