@@ -6,6 +6,12 @@
  * Paper reference: BlockHammer degrades sharply at ultra-low thresholds
  * (7.5% at 1K, 25% at 500, 46.4% at 250, 66% at 125) from false-positive
  * throttling, while DAPPER-H stays below ~4%.
+ *
+ * Known modelling deviation: the controller models a BlockHammer
+ * throttle as whole-bank unavailability (MemController::issue sets the
+ * bank's actReady to the throttle deadline), so one blacklisted row
+ * stalls every row of its bank and the BlockHammer columns here come
+ * out well below the paper's at low N_RH. See src/rh/README.md.
  */
 
 #include "bench/bench_util.hh"

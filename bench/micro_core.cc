@@ -104,8 +104,8 @@ main(int argc, char **argv)
         RunResult first;
         std::uint64_t firstFp = 0;
         const double secs = timedMedian(opt.repeat, [&](int rep) {
-            RunResult r = runOnce(cfg, workload, AttackKind::None,
-                                  TrackerKind::None, horizon, opt.engine);
+            RunResult r =
+                runOnce(cfg, workload, "none", "none", horizon, opt.engine);
             const std::uint64_t fp = fingerprint(r);
             if (rep == 0) {
                 first = std::move(r);

@@ -59,8 +59,7 @@ main(int argc, char **argv)
             Scenario(base).tracker(info).baseline(Baseline::NoAttack));
         SysConfig storageCfg = cfg;
         storageCfg.timeScale = 1.0; // Storage quoted per physical window.
-        const auto tracker = info.make(storageCfg, nullptr);
-        const StorageEstimate est = tracker->storage();
+        const StorageEstimate est = info.storage(storageCfg);
         std::printf("%-16s %10.4f %12llu %12.1f %12.1f\n",
                     info.displayName.c_str(), r.normalized,
                     static_cast<unsigned long long>(r.run.mitigations),

@@ -113,10 +113,11 @@ RunResult runOnce(const SysConfig &cfg,
                   const AttackInfo &attack, const TrackerInfo &tracker,
                   Tick horizon = 0, Engine engine = Engine::Event);
 
-/** Convenience overload for the built-in enum values (tests). */
+/** Convenience overload: resolves @p attack and @p tracker by registry
+ *  name (tests, micro benches). */
 RunResult runOnce(const SysConfig &cfg, const std::string &workload,
-                  AttackKind attack, TrackerKind tracker, Tick horizon = 0,
-                  Engine engine = Engine::Event);
+                  const std::string &attack, const std::string &tracker,
+                  Tick horizon = 0, Engine engine = Engine::Event);
 
 } // namespace dapper
 

@@ -7,14 +7,6 @@
 
 namespace dapper {
 
-System::System(const SysConfig &cfg, TrackerKind kind,
-               std::vector<std::unique_ptr<TraceGen>> gens,
-               int attackerCore)
-    : System(cfg, TrackerRegistry::instance().at(kind), std::move(gens),
-             attackerCore)
-{
-}
-
 System::System(const SysConfig &cfg, const TrackerInfo &tracker,
                std::vector<std::unique_ptr<TraceGen>> gens,
                int attackerCore)

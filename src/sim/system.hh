@@ -17,7 +17,6 @@
 #include "src/dram/address.hh"
 #include "src/energy/energy_model.hh"
 #include "src/mem/controller.hh"
-#include "src/rh/factory.hh"
 #include "src/rh/ground_truth.hh"
 #include "src/rh/registry.hh"
 #include "src/rh/tracker.hh"
@@ -39,12 +38,6 @@ class System
      *        outstanding-request budget), or -1 for none.
      */
     System(const SysConfig &cfg, const TrackerInfo &tracker,
-           std::vector<std::unique_ptr<TraceGen>> gens,
-           int attackerCore = -1);
-
-    /** Convenience for the built-in trackers: resolves @p kind through
-     *  the registry. */
-    System(const SysConfig &cfg, TrackerKind kind,
            std::vector<std::unique_ptr<TraceGen>> gens,
            int attackerCore = -1);
 

@@ -1,4 +1,32 @@
-#include "src/workload/attacks.hh"
+/**
+ * @file
+ * Performance-Attack address-stream generators (paper Sections III-B,
+ * V-D, V-E).
+ *
+ * Each generator emits the DRAM activation pattern the paper describes:
+ *  - CacheThrash: classic LLC-thrashing stream (the baseline attack);
+ *  - HydraRcc: >32 rows mapping to the same Row Counter Cache set across
+ *    banks, forcing RCC set-conflict misses and counter traffic (Fig 2a);
+ *  - StartStream: stream over all rows, filling START's reserved LLC
+ *    counter region and forcing counter fetches (Fig 2b);
+ *  - CometRat: rapid activation of more rows than the 128-entry RAT
+ *    holds, forcing counter overestimation and early resets (Fig 2c);
+ *  - AbacusSpill: ever-new row IDs across banks, overflowing the shared
+ *    Misra-Gries spillover counter (Fig 2d);
+ *  - Streaming: activate every row in the rank (mapping-agnostic, §V-E);
+ *  - RefreshAttack: hammer a few rows per bank to continually trigger
+ *    group mitigations (mapping-agnostic, §V-E);
+ *  - MappingProbe: the two-phase mapping-capturing probe of §V-D.
+ *
+ * Attack accesses bypass the LLC (modeling engineered uncached access)
+ * except CacheThrash, whose entire point is cache pollution.
+ *
+ * The generators are private to this file: AttackRegistry
+ * (src/workload/attack_registry.hh), implemented below, is the only way
+ * to name and build them.
+ */
+
+#include "src/workload/attack_registry.hh"
 
 #include <stdexcept>
 
@@ -238,50 +266,52 @@ class MappingProbeGen : public AttackBase
     std::uint64_t probe_ = 0;
 };
 
-} // namespace
-
-std::string
-attackName(AttackKind kind)
+/** Factory closure for a built-in generator constructed as
+ *  G(cfg, mapper, seed, args...). */
+template <typename G, typename... Args>
+decltype(AttackInfo::make)
+construct(Args... args)
 {
-    switch (kind) {
-      case AttackKind::None: return "none";
-      case AttackKind::CacheThrash: return "cache-thrash";
-      case AttackKind::HydraRcc: return "hydra-rcc";
-      case AttackKind::StartStream: return "start-stream";
-      case AttackKind::CometRat: return "comet-rat";
-      case AttackKind::AbacusSpill: return "abacus-spill";
-      case AttackKind::Streaming: return "streaming";
-      case AttackKind::RefreshAttack: return "refresh";
-      case AttackKind::MappingProbe: return "mapping-probe";
-    }
-    return "?";
+    return [args...](const SysConfig &cfg, const AddressMapper &mapper,
+                     std::uint64_t seed) -> std::unique_ptr<TraceGen> {
+        return std::make_unique<G>(cfg, mapper, seed, args...);
+    };
 }
 
-std::unique_ptr<TraceGen>
-makeAttackGen(AttackKind kind, const SysConfig &cfg,
-              const AddressMapper &mapper, std::uint64_t seed)
+} // namespace
+
+AttackRegistry::AttackRegistry() : NamedRegistry("attack")
 {
-    switch (kind) {
-      case AttackKind::None:
-        return nullptr;
-      case AttackKind::CacheThrash:
-        return std::make_unique<CacheThrashGen>(cfg, mapper, seed);
-      case AttackKind::HydraRcc:
-        return std::make_unique<HydraRccGen>(cfg, mapper, seed);
-      case AttackKind::StartStream:
-        return std::make_unique<StreamingGen>(cfg, mapper, seed, true);
-      case AttackKind::CometRat:
-        return std::make_unique<CometRatGen>(cfg, mapper, seed);
-      case AttackKind::AbacusSpill:
-        return std::make_unique<AbacusSpillGen>(cfg, mapper, seed);
-      case AttackKind::Streaming:
-        return std::make_unique<StreamingGen>(cfg, mapper, seed, false);
-      case AttackKind::RefreshAttack:
-        return std::make_unique<RefreshAttackGen>(cfg, mapper, seed);
-      case AttackKind::MappingProbe:
-        return std::make_unique<MappingProbeGen>(cfg, mapper, seed);
-    }
-    throw std::invalid_argument("bad AttackKind");
+    // Registration order is the order of names() and of the
+    // "unknown attack" error message.
+    add({.name = "none",
+         .make = [](const SysConfig &, const AddressMapper &,
+                    std::uint64_t) -> std::unique_ptr<TraceGen> {
+             return nullptr;
+         }});
+    add({.name = "cache-thrash", .make = construct<CacheThrashGen>()});
+    add({.name = "hydra-rcc", .make = construct<HydraRccGen>()});
+    add({.name = "start-stream", .make = construct<StreamingGen>(true)});
+    add({.name = "comet-rat", .make = construct<CometRatGen>()});
+    add({.name = "abacus-spill", .make = construct<AbacusSpillGen>()});
+    add({.name = "streaming", .make = construct<StreamingGen>(false)});
+    add({.name = "refresh", .make = construct<RefreshAttackGen>()});
+    add({.name = "mapping-probe", .make = construct<MappingProbeGen>()});
+}
+
+AttackRegistry &
+AttackRegistry::instance()
+{
+    static AttackRegistry registry;
+    return registry;
+}
+
+void
+AttackRegistry::normalize(AttackInfo &info)
+{
+    if (!info.make)
+        throw std::invalid_argument("attack '" + info.name +
+                                    "' has no factory");
 }
 
 } // namespace dapper

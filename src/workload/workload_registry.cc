@@ -16,7 +16,6 @@ WorkloadRegistry::WorkloadRegistry() : NamedRegistry("workload")
     for (const WorkloadParams &params : workloadTable()) {
         WorkloadInfo info;
         info.name = params.name;
-        info.kind = WorkloadKind::Synthetic;
         info.description = params.suite;
         info.make = [&params](const SysConfig &cfg, int coreId,
                               std::uint64_t seed) {
@@ -48,9 +47,6 @@ WorkloadRegistry::normalize(WorkloadInfo &info)
         throw std::invalid_argument(
             "workload name '" + info.name +
             "' must not contain '+' (reserved for per-core lists)");
-    if (!info.kind)
-        info.kind = info.isTrace ? WorkloadKind::Trace
-                                 : WorkloadKind::Synthetic;
 }
 
 const WorkloadInfo &

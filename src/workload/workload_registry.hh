@@ -7,7 +7,8 @@
  * ("429.mcf", "ycsb-a", ...) and DTR trace-replay workloads
  * ("trace-gc", "dtr:/path/file.dtr") share one namespace, which is what
  * lets benches, Scenario grids, and the fleet treat "workload" as an
- * open set instead of a parameter enum.
+ * open set instead of a parameter enum. The registry is the only way a
+ * workload is named; WorkloadInfo::isTrace tells the two kinds apart.
  *
  * Factory contract (seed purity): make(cfg, coreId, seed) must derive
  * every random decision from (cfg, coreId, seed) alone. For trace
@@ -26,7 +27,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/common/config.hh"
@@ -35,22 +35,16 @@
 
 namespace dapper {
 
-enum class WorkloadKind
-{
-    Synthetic, ///< Parameterized generator (BenignGen).
-    Trace,     ///< DTR trace replay (src/trace/replay.hh).
-};
-
 /** One registered workload: stable name, capability metadata, factory. */
 struct WorkloadInfo
 {
     /// Stable CLI / JSON name ("429.mcf", "trace-gc"). Must not contain
     /// '+', which joins per-core workload lists into one canonical name.
     std::string name;
-    std::optional<WorkloadKind> kind;
     /// Suite for synthetic workloads, source description for traces.
     std::string description;
-    /// Capability: replays a checked-in / captured DTR trace.
+    /// Capability: replays a checked-in / captured DTR trace
+    /// (src/trace/replay.hh); false for a synthetic BenignGen.
     bool isTrace = false;
     /// Build one core's generator. Seed-pure (see file comment).
     std::function<std::unique_ptr<TraceGen>(
@@ -62,7 +56,7 @@ struct WorkloadInfo
  * Name -> WorkloadInfo registry (mechanics in src/common/registry.hh).
  * Entry addresses are stable for the process lifetime.
  */
-class WorkloadRegistry : public NamedRegistry<WorkloadInfo, WorkloadKind>
+class WorkloadRegistry : public NamedRegistry<WorkloadInfo>
 {
   public:
     static WorkloadRegistry &instance();

@@ -71,7 +71,7 @@ expectIdentical(const RunResult &event, const RunResult &tick)
 }
 
 class SchedulerEquivalence
-    : public ::testing::TestWithParam<std::pair<TrackerKind, AttackKind>>
+    : public ::testing::TestWithParam<std::pair<const char *, const char *>>
 {
 };
 
@@ -91,32 +91,30 @@ TEST_P(SchedulerEquivalence, EventMatchesTickExactly)
 INSTANTIATE_TEST_SUITE_P(
     TrackersAndAttacks, SchedulerEquivalence,
     ::testing::Values(
-        std::make_pair(TrackerKind::None, AttackKind::None),
-        std::make_pair(TrackerKind::None, AttackKind::RefreshAttack),
-        std::make_pair(TrackerKind::Hydra, AttackKind::None),
-        std::make_pair(TrackerKind::Hydra, AttackKind::HydraRcc),
-        std::make_pair(TrackerKind::Start, AttackKind::Streaming),
-        std::make_pair(TrackerKind::Start, AttackKind::StartStream),
-        std::make_pair(TrackerKind::DapperH, AttackKind::Streaming),
-        std::make_pair(TrackerKind::DapperH, AttackKind::RefreshAttack),
+        std::make_pair("none", "none"),
+        std::make_pair("none", "refresh"),
+        std::make_pair("hydra", "none"),
+        std::make_pair("hydra", "hydra-rcc"),
+        std::make_pair("start", "streaming"),
+        std::make_pair("start", "start-stream"),
+        std::make_pair("dapper-h", "streaming"),
+        std::make_pair("dapper-h", "refresh"),
         // Paths that stress the issue memo / wake plumbing hardest:
         // activation throttling, probabilistic mitigation bursts, PRAC
         // ABO channel stalls, and bulk structure resets.
-        std::make_pair(TrackerKind::BlockHammer, AttackKind::None),
-        std::make_pair(TrackerKind::Para, AttackKind::RefreshAttack),
-        std::make_pair(TrackerKind::Prac, AttackKind::RefreshAttack),
-        std::make_pair(TrackerKind::Abacus, AttackKind::AbacusSpill)));
+        std::make_pair("blockhammer", "none"),
+        std::make_pair("para", "refresh"),
+        std::make_pair("prac", "refresh"),
+        std::make_pair("abacus", "abacus-spill")));
 
 /** A compute-bound workload exercises the always-busy core fast path. */
 TEST(SchedulerEquivalenceComputeBound, EventMatchesTickExactly)
 {
     const SysConfig cfg = smallCfg();
-    const RunResult event = runOnce(cfg, "456.hmmer", AttackKind::None,
-                                    TrackerKind::DapperS, 200000,
-                                    Engine::Event);
-    const RunResult tick = runOnce(cfg, "456.hmmer", AttackKind::None,
-                                   TrackerKind::DapperS, 200000,
-                                   Engine::Tick);
+    const RunResult event = runOnce(cfg, "456.hmmer", "none", "dapper-s",
+                                    200000, Engine::Event);
+    const RunResult tick = runOnce(cfg, "456.hmmer", "none", "dapper-s",
+                                   200000, Engine::Tick);
     expectIdentical(event, tick);
 }
 
@@ -125,12 +123,10 @@ TEST(SchedulerEquivalenceLowThreshold, EventMatchesTickExactly)
 {
     SysConfig cfg = smallCfg();
     cfg.nRH = 125;
-    const RunResult event = runOnce(cfg, "429.mcf", AttackKind::None,
-                                    TrackerKind::BlockHammer, 250000,
-                                    Engine::Event);
-    const RunResult tick = runOnce(cfg, "429.mcf", AttackKind::None,
-                                   TrackerKind::BlockHammer, 250000,
-                                   Engine::Tick);
+    const RunResult event = runOnce(cfg, "429.mcf", "none", "blockhammer",
+                                    250000, Engine::Event);
+    const RunResult tick = runOnce(cfg, "429.mcf", "none", "blockhammer",
+                                   250000, Engine::Tick);
     expectIdentical(event, tick);
 }
 
@@ -141,11 +137,11 @@ TEST(SchedulerEquivalenceTrace, TraceReplayMatchesAcrossEngines)
     const SysConfig cfg = smallCfg();
     const Tick horizon = 300000;
     const RunResult event =
-        runOnce(cfg, "trace-gc", AttackKind::Streaming,
-                TrackerKind::DapperH, horizon, Engine::Event);
+        runOnce(cfg, "trace-gc", "streaming", "dapper-h", horizon,
+                Engine::Event);
     const RunResult tick =
-        runOnce(cfg, "trace-gc", AttackKind::Streaming,
-                TrackerKind::DapperH, horizon, Engine::Tick);
+        runOnce(cfg, "trace-gc", "streaming", "dapper-h", horizon,
+                Engine::Tick);
     expectIdentical(event, tick);
 }
 
@@ -172,14 +168,10 @@ TEST(SchedulerEquivalenceWindow, EventMatchesTickAcrossWindows)
 {
     SysConfig cfg = smallCfg();
     const Tick horizon = cfg.tREFW() + cfg.tREFW() / 4;
-    const RunResult event = runOnce(cfg, "510.parest",
-                                    AttackKind::RefreshAttack,
-                                    TrackerKind::Comet, horizon,
-                                    Engine::Event);
-    const RunResult tick = runOnce(cfg, "510.parest",
-                                   AttackKind::RefreshAttack,
-                                   TrackerKind::Comet, horizon,
-                                   Engine::Tick);
+    const RunResult event = runOnce(cfg, "510.parest", "refresh", "comet",
+                                    horizon, Engine::Event);
+    const RunResult tick = runOnce(cfg, "510.parest", "refresh", "comet",
+                                   horizon, Engine::Tick);
     expectIdentical(event, tick);
 }
 
